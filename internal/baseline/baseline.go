@@ -31,30 +31,31 @@ func (*Groute) Name() string { return "Groute" }
 func (*Groute) BeginStage(*sched.Context) {}
 
 // Assign implements sched.Scheduler. Devices removed by fault injection
-// (ctx.Down) never count as available.
+// (ctx.Down) never count as available; fault-free runs skip the per-device
+// down probe. One scan reads each clock once, for the choice and for the
+// decision record's candidates alike.
 func (*Groute) Assign(_ workload.Pair, ctx *sched.Context) int {
+	rec := ctx.Decision
+	down := !ctx.Down.Empty()
 	best := -1
 	var bestClock float64
 	for i := 0; i < ctx.NumGPU; i++ {
-		if ctx.Down.Has(i) {
+		if down && ctx.Down.Has(i) {
 			continue
 		}
-		if c := ctx.Cluster.Device(i).Clock(); best < 0 || c < bestClock {
+		c := ctx.Cluster.Device(i).Clock()
+		if best < 0 || c < bestClock {
 			best, bestClock = i, c
+		}
+		if rec != nil {
+			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: i, Score: c})
 		}
 	}
 	if best < 0 {
 		best = 0 // no live device: unreachable, the engine errors first
 	}
-	if rec := ctx.Decision; rec != nil {
+	if rec != nil {
 		rec.Policy = "earliest-device"
-		for i := 0; i < ctx.NumGPU; i++ {
-			if ctx.Down.Has(i) {
-				continue
-			}
-			rec.Candidates = append(rec.Candidates,
-				obs.CandidateScore{Device: i, Score: ctx.Cluster.Device(i).Clock()})
-		}
 	}
 	return best
 }

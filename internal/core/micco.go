@@ -37,6 +37,10 @@ type Scheduler struct {
 	rng       *rand.Rand
 	// candi is the reusable candidate queue (the paper's candiQueue).
 	candi []int
+	// comp and mem hold Algorithm 2's scores for candi, index for index:
+	// the device clock and the projected memory. They grow to the cluster
+	// size once and are reused for every pair.
+	comp, mem []float64
 	// patterns histograms the local reuse pattern of every assigned pair.
 	patterns [4]int64
 	// evictionPolicyUses counts assignments decided by the
@@ -107,11 +111,12 @@ func (s *Scheduler) BeginStage(ctx *sched.Context) {
 //
 // Residency is read through the cluster's constant-time index: two mask
 // probes answer every holder question, candidate filling iterates set bits,
-// and all scratch space (candiQueue, the min-filter buffer) is reused
-// across calls — the whole placement path performs zero allocations when
-// observability is off. Candidate order matches the former per-device scan
-// (ascending device ID; step II lists A-holders before B-only holders), so
-// random tie-breaks draw identically to the scan-path reference.
+// and all scratch space (candiQueue and Algorithm 2's score slices) is
+// reused across calls — the whole placement path performs zero allocations
+// when observability is off. Candidate order matches the former per-device
+// scan (ascending device ID; step II lists A-holders before B-only
+// holders), so random tie-breaks draw identically to the scan-path
+// reference.
 func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	s.candi = s.candi[:0]
 	ma := ctx.HoldersMask(p.A.ID)
@@ -161,11 +166,13 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	// Step III (lines 15-18): twoNew, or nothing available above — any live
 	// GPU under reuse bound 3. Steps I and II need no down-device filter:
 	// a failed device's residency is dropped the moment it fails, so it can
-	// never appear in a holder mask.
+	// never appear in a holder mask. Fault-free runs skip the per-device
+	// down probe altogether.
 	if len(s.candi) == 0 {
 		lim := s.bounds[2] + ctx.BalanceNum
-		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < lim && !ctx.Down.Has(it) {
+		down := !ctx.Down.Empty()
+		for it, load := range ctx.StageLoad[:ctx.NumGPU] {
+			if load < lim && !(down && ctx.Down.Has(it)) {
 				s.candi = append(s.candi, it)
 			}
 		}
@@ -201,7 +208,7 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 			rec.Bound = s.bounds[boundIdx]
 		}
 	}
-	return s.assignFromQueue(p, ctx, ma, mb)
+	return s.assignFromQueue(&p, ctx, ma, mb)
 }
 
 // assignFromQueue is Algorithm 2: detect projected oversubscription among
@@ -209,28 +216,37 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 // with it, pick most free memory (compute as tie-break). Remaining ties
 // break uniformly at random, as in the paper. The pair's holder masks ride
 // along so memory projections need no further residency lookups.
-func (s *Scheduler) assignFromQueue(p workload.Pair, ctx *sched.Context, ma, mb gpusim.DevSet) int {
-	mem := func(id int) float64 { return float64(ctx.ProjectedMemMasked(id, p, ma, mb)) }
-	evict := false
-	for _, id := range s.candi {
-		// Per-device capacity: a fault plan's mem-shrink can hold one
-		// device's pool below the configured size.
-		if ctx.ProjectedMemMasked(id, p, ma, mb) > ctx.Cluster.Device(id).Capacity() {
-			evict = true
-			s.evictionPolicyUses++
-			break
-		}
+//
+// One pass reads each candidate device once and caches both scores; the
+// policy choice, the decision record and the two min-filters then run on
+// the cached scores.
+func (s *Scheduler) assignFromQueue(p *workload.Pair, ctx *sched.Context, ma, mb gpusim.DevSet) int {
+	n := len(s.candi)
+	if cap(s.comp) < n {
+		size := max(n, ctx.NumGPU)
+		s.comp, s.mem = make([]float64, size), make([]float64, size)
 	}
 	// "Least computation" is the candidate's live queue position: the
 	// device clock realigns at every stage barrier and already prices the
 	// kernels and memory operations of this stage's assignments, matching
 	// the cost model of the paper's mapping analysis (Fig. 4).
-	var primary, secondary func(id int) float64
-	comp := func(id int) float64 { return ctx.Cluster.Device(id).Clock() }
+	comp, mem := s.comp[:n], s.mem[:n]
+	fp := sched.FootprintOf(p)
+	evict := false
+	for i, id := range s.candi {
+		d := ctx.Cluster.Device(id)
+		m := fp.Projected(d.MemUsed(), ma.Has(id), mb.Has(id))
+		comp[i], mem[i] = d.Clock(), float64(m)
+		// Per-device capacity: a fault plan's mem-shrink can hold one
+		// device's pool below the configured size.
+		if m > d.Capacity() {
+			evict = true
+		}
+	}
+	primary, secondary := comp, mem
 	if evict {
+		s.evictionPolicyUses++
 		primary, secondary = mem, comp
-	} else {
-		primary, secondary = comp, mem
 	}
 	if rec := ctx.Decision; rec != nil {
 		if evict {
@@ -238,36 +254,29 @@ func (s *Scheduler) assignFromQueue(p workload.Pair, ctx *sched.Context, ma, mb 
 		} else {
 			rec.Policy = "compute-centric"
 		}
-		for _, id := range s.candi {
-			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary(id)})
+		for i, id := range s.candi {
+			rec.Candidates = append(rec.Candidates, obs.CandidateScore{Device: id, Score: primary[i]})
 		}
 	}
-	sel := filterMinInPlace(s.candi, primary)
-	if len(sel) > 1 {
-		sel = filterMinInPlace(sel, secondary)
-	}
-	if len(sel) == 1 {
-		return sel[0]
-	}
-	return sel[s.rng.Intn(len(sel))]
-}
-
-// filterMinInPlace compacts ids down to the ones attaining the minimum of
-// key, preserving order, writing into ids' own backing array (the write
-// index never passes the read index, so no element is read after being
-// overwritten). No allocation.
-func filterMinInPlace(ids []int, key func(int) float64) []int {
-	best := key(ids[0])
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		v := key(id)
+	// Keep the candidates attaining the minimum of (primary, secondary) in
+	// lexicographic order — the primary min-filter followed by the
+	// secondary one — compacted in place, order preserved (the write index
+	// never passes the read index).
+	sel := 0
+	var bestP, bestS float64
+	for i, id := range s.candi {
+		x, y := primary[i], secondary[i]
 		switch {
-		case v < best:
-			best = v
-			out = append(ids[:0], id)
-		case v == best:
-			out = append(out, id)
+		case sel == 0 || x < bestP || (x == bestP && y < bestS):
+			bestP, bestS = x, y
+			s.candi[0], sel = id, 1
+		case x == bestP && y == bestS:
+			s.candi[sel] = id
+			sel++
 		}
 	}
-	return out
+	if sel == 1 {
+		return s.candi[0]
+	}
+	return s.candi[s.rng.Intn(sel)]
 }

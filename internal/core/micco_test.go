@@ -477,16 +477,21 @@ func TestAssignFillsDecisionRecord(t *testing.T) {
 
 // TestAssignAddsNoAllocationsWithoutObservability guards the acceptance
 // bar that a disabled registry costs nothing on the placement hot path:
-// with Context.Decision nil, Assign must not allocate at all.
+// with Context.Decision nil, Assign must not allocate at all — on one GPU,
+// and for a cold pair on 1024 GPUs, whose step III hands Algorithm 2 a
+// candidate per device. The score slices grow once, on the first
+// placement, and stay put.
 func TestAssignAddsNoAllocationsWithoutObservability(t *testing.T) {
-	c := mkCluster(t, 1)
-	s := NewNaive()
-	ctx := freshCtx(c)
-	s.BeginStage(ctx)
-	p := pair(50, 51, 52)
-	s.Assign(p, ctx) // warm the candidate queue's capacity
-	if allocs := testing.AllocsPerRun(200, func() { s.Assign(p, ctx) }); allocs != 0 {
-		t.Errorf("Assign allocates %.1f times per placement with observability off, want 0", allocs)
+	for _, n := range []int{1, 1024} {
+		c := mkCluster(t, n)
+		s := NewNaive()
+		ctx := freshCtx(c)
+		s.BeginStage(ctx)
+		p := pair(50, 51, 52)
+		s.Assign(p, ctx) // warm the candidate queue's and scores' capacity
+		if allocs := testing.AllocsPerRun(200, func() { s.Assign(p, ctx) }); allocs != 0 {
+			t.Errorf("%d GPUs: Assign allocates %.1f times per placement with observability off, want 0", n, allocs)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Scheduler) Assign(p workload.Pair, ctx *sched.Context) int {
 	}
 
 	node := s.pickNode(ctx)
-	dev := s.pickDevice(node, p, ctx, ma, mb)
+	dev := s.pickDevice(node, &p, ctx, ma, mb)
 	if dev < 0 {
 		// The chosen node has no live device: global fallback to the
 		// least-loaded live device anywhere.
@@ -196,7 +196,7 @@ func (s *Scheduler) pickNode(ctx *sched.Context) int {
 // bounds; the final choice is the earliest-available candidate, breaking
 // ties by projected memory and then lowest device ID (deterministic).
 // Returns -1 when the node has no live device.
-func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma, mb gpusim.DevSet) int {
+func (s *Scheduler) pickDevice(node int, p *workload.Pair, ctx *sched.Context, ma, mb gpusim.DevSet) int {
 	lo := node * s.nodeSize
 	hi := lo + s.sizeOf(node)
 	s.candi = s.candi[:0]
@@ -230,11 +230,13 @@ func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma
 		}
 	}
 
-	// Step III: any live device in the node under the third bound.
+	// Step III: any live device in the node under the third bound. Fault-
+	// free runs skip the per-device down probe.
 	if len(s.candi) == 0 {
 		lim := ctx.BalanceNum + s.bounds[2]
+		down := !ctx.Down.Empty()
 		for it := lo; it < hi; it++ {
-			if ctx.StageLoad[it] < lim && !ctx.Down.Has(it) {
+			if ctx.StageLoad[it] < lim && !(down && ctx.Down.Has(it)) {
 				s.candi = append(s.candi, it)
 			}
 		}
@@ -256,16 +258,18 @@ func (s *Scheduler) pickDevice(node int, p workload.Pair, ctx *sched.Context, ma
 
 	// Final choice: minimum device clock; ties by projected memory, then by
 	// lowest ID (candidates are ascending and replacement is strict-less).
-	best := s.candi[0]
-	bestClock := ctx.Cluster.Device(best).Clock()
-	for _, id := range s.candi[1:] {
-		c := ctx.Cluster.Device(id).Clock()
-		switch {
-		case c < bestClock:
-			best, bestClock = id, c
+	// Each candidate device is read once; projected memory is computed only
+	// for candidates that reach the best clock so far.
+	fp := sched.FootprintOf(p)
+	best, bestClock, bestMem := -1, 0.0, int64(0)
+	for _, id := range s.candi {
+		d := ctx.Cluster.Device(id)
+		switch c := d.Clock(); {
+		case best < 0 || c < bestClock:
+			best, bestClock, bestMem = id, c, fp.Projected(d.MemUsed(), ma.Has(id), mb.Has(id))
 		case c == bestClock:
-			if ctx.ProjectedMemMasked(id, p, ma, mb) < ctx.ProjectedMemMasked(best, p, ma, mb) {
-				best = id
+			if m := fp.Projected(d.MemUsed(), ma.Has(id), mb.Has(id)); m < bestMem {
+				best, bestMem = id, m
 			}
 		}
 	}

@@ -123,6 +123,25 @@ func TestHierPrefersOperandNode(t *testing.T) {
 	}
 }
 
+// TestHierBreaksClockTiesByProjectedMemory checks the final choice of
+// level 2: among candidates with equal clocks the one with the least
+// projected memory wins, and among those the lowest device ID.
+func TestHierBreaksClockTiesByProjectedMemory(t *testing.T) {
+	c := newCluster(t, gpusim.MI100Nodes(2, 4))
+	other := pairOf(7, 8, 9)
+	c.RegisterHostTensor(other.A)
+	if err := c.EnsureResident(0, other.A); err != nil {
+		t.Fatal(err)
+	}
+	c.Barrier() // equal clocks; device 0 alone holds memory
+	ctx := assignCtx(c)
+	s := hier.New(16, core.Bounds{0, 2, 0})
+	s.BeginStage(ctx)
+	if dev := s.Assign(pairOf(1, 2, 3), ctx); dev != 1 {
+		t.Errorf("cold pair placed on device %d; want 1 (least projected memory, lowest ID)", dev)
+	}
+}
+
 // TestHierAvoidsDownNode fails every device of the operands' node and
 // checks placements fall back to live devices elsewhere.
 func TestHierAvoidsDownNode(t *testing.T) {
@@ -201,5 +220,15 @@ func TestHierAssignZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("%g allocs per Assign with obs off, want 0", avg)
+	}
+
+	// A cold pair on a 1024-device cluster: level 1 scans every node and
+	// level 2 places through step III.
+	wide := newCluster(t, gpusim.MI100Nodes(16, 64))
+	ctx = assignCtx(wide)
+	s.BeginStage(ctx)
+	cold := pairOf(1, 2, 3)
+	if avg := testing.AllocsPerRun(200, func() { s.Assign(cold, ctx) }); avg != 0 {
+		t.Errorf("%g allocs per 1024-device step-III Assign with obs off, want 0", avg)
 	}
 }

@@ -235,10 +235,12 @@ func BenchmarkNumericPipeline(b *testing.B) {
 // BenchmarkSchedulerAssignLarge measures one placement decision at
 // simulated-cluster scales far past the old 64-device ceiling (256, 1024
 // and 4096 devices, 64 per node), for the flat MICCO scheduler and the
-// two-level hier scheduler. The interesting read is how ns/op grows with
-// device count: hier's placement is O(holders + nodes + nodeSize) per
-// pair, so its per-decision cost must degrade sub-linearly in cluster
-// size. Recorded into BENCH_sched.json by `make bench`.
+// two-level hier scheduler against warm residency, and — in the /stage
+// arms, with Groute added — against a cold stage (benchAssignStage). The
+// warm arms mostly resolve in steps I-II; the /stage arms show what wide
+// traffic costs: flat MICCO and Groute scan O(devices) per cold pair,
+// while hier's placement is O(holders + nodes + nodeSize) per pair.
+// Recorded into BENCH_sched.json by `make bench`.
 func BenchmarkSchedulerAssignLarge(b *testing.B) {
 	for _, devs := range []int{256, 1024, 4096} {
 		cfg := gpusim.MI100Nodes(devs/64, 64)
@@ -260,7 +262,65 @@ func BenchmarkSchedulerAssignLarge(b *testing.B) {
 				}
 			})
 		}
+		stage := []struct {
+			name string
+			s    sched.Scheduler
+		}{
+			{"MICCO", core.NewFixed(core.Bounds{0, 2, 0})},
+			{"Hier", hier.New(16, core.Bounds{0, 2, 0})},
+			{"Groute", baseline.NewGroute()},
+		}
+		for _, tc := range stage {
+			b.Run(fmt.Sprintf("%s/devs=%d/stage", tc.name, devs), func(b *testing.B) {
+				benchAssignStage(b, tc.s, cfg)
+			})
+		}
 	}
+}
+
+// benchAssignStage is BenchmarkSchedulerAssignLarge's /stage arm. It
+// replays the placement traffic of a cold wide stage, which the warm
+// fixture never reaches: one 256-pair stage shaped like the perfbench
+// synth-wide stream, on a cluster with no residency, with StageLoad filling
+// as each pair is placed. MICCO's step III thus scans candidate lists
+// spanning the cluster (hier's, the chosen node), and Groute scans every
+// device. Each op is one Assign; the stage restarts with zero loads after
+// its last pair.
+func benchAssignStage(b *testing.B, s sched.Scheduler, cfg gpusim.Config) {
+	w, err := workload.Generate(workload.Config{
+		Seed: 7, Stages: 1, VectorSize: 256, TensorDim: 384, Batch: 8,
+		Rank: tensor.RankMeson, RepeatRate: 0.5, Dist: workload.Gaussian,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := gpusim.NewCluster(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := c.NumDevices()
+	pairs := w.Stages[0].Pairs
+	ctx := &sched.Context{
+		Cluster:    c,
+		NumGPU:     n,
+		BalanceNum: (w.Stages[0].NumTensors() + n - 1) / n,
+		StageLoad:  make([]int, n),
+		Comp:       make([]float64, n),
+	}
+	replay := func(n int) {
+		for i := 0; i < n; i++ {
+			k := i % len(pairs)
+			if k == 0 {
+				clear(ctx.StageLoad)
+				s.BeginStage(ctx)
+			}
+			ctx.StageLoad[s.Assign(pairs[k], ctx)] += 2
+		}
+	}
+	replay(len(pairs)) // grow the schedulers' scratch outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	replay(b.N)
 }
 
 // BenchmarkRunScheduleOnly measures the engine's schedule+simulate phases

@@ -1,10 +1,12 @@
 package sched_test
 
-// Cross-check property test for the constant-time residency index: every
-// scheduler's mask-based placement path must be bit-identical — same
-// assignments, pattern counts, decision records and numeric fingerprints —
-// to the pre-index scan path, retained below as test-only reference
-// implementations (verbatim ports of the former slice/map-probe code).
+// Cross-check property test for the schedulers' placement paths: every
+// scheduler's mask-based, evaluate-once placement must be bit-identical —
+// same assignments, pattern counts, decision records and numeric
+// fingerprints — to the scan path, retained below as test-only reference
+// implementations (ports of the former slice/map-probe code, which score a
+// candidate afresh each time a pass needs it and probe the down set for
+// every device).
 
 import (
 	"context"
@@ -14,6 +16,7 @@ import (
 
 	"micco/internal/baseline"
 	"micco/internal/core"
+	"micco/internal/fault"
 	"micco/internal/gpusim"
 	"micco/internal/obs"
 	"micco/internal/sched"
@@ -21,10 +24,13 @@ import (
 	"micco/internal/workload"
 )
 
-// refMICCO is the scan-path MICCO scheduler exactly as it existed before
-// the residency index: holder slices from Context.Holders, linear
-// contains/appendUnique candidate filling, and an allocating filterMin.
-// Its rng seeding matches core.NewFixed so tie-breaks draw identically.
+// refMICCO is the scan-path MICCO scheduler as it existed before the
+// residency index: holder slices from Context.Holders, linear
+// contains/appendUnique candidate filling, and an allocating filterMin
+// whose passes re-evaluate each candidate's scores. Step III and the
+// fallback skip down devices with a probe per device, as the live
+// scheduler did when fault injection arrived. Its rng seeding matches
+// core.NewFixed so tie-breaks draw identically.
 type refMICCO struct {
 	bounds             core.Bounds
 	rng                *rand.Rand
@@ -139,7 +145,7 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 	if len(s.candi) == 0 {
 		lim := limit(2)
 		for it := 0; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < lim {
+			if ctx.StageLoad[it] < lim && !ctx.Down.Has(it) {
 				s.candi = append(s.candi, it)
 			}
 		}
@@ -148,13 +154,19 @@ func (s *refMICCO) Assign(p workload.Pair, ctx *sched.Context) int {
 		}
 	}
 
-	// Defensive fallback: least-loaded GPU.
+	// Defensive fallback: least-loaded live GPU.
 	if len(s.candi) == 0 {
-		best := 0
-		for it := 1; it < ctx.NumGPU; it++ {
-			if ctx.StageLoad[it] < ctx.StageLoad[best] {
+		best := -1
+		for it := 0; it < ctx.NumGPU; it++ {
+			if ctx.Down.Has(it) {
+				continue
+			}
+			if best < 0 || ctx.StageLoad[it] < ctx.StageLoad[best] {
 				best = it
 			}
+		}
+		if best < 0 {
+			best = 0
 		}
 		s.candi = append(s.candi, best)
 	}
@@ -205,8 +217,44 @@ func (s *refMICCO) assignFromQueue(p workload.Pair, ctx *sched.Context) int {
 	return sel[s.rng.Intn(len(sel))]
 }
 
+// refGroute is Groute.Assign as it stood before the single-scan rewrite:
+// a down probe for every device, and a second walk over the devices,
+// re-reading each clock, to build the decision record's candidates.
+type refGroute struct{}
+
+func (refGroute) Name() string              { return "Groute" }
+func (refGroute) BeginStage(*sched.Context) {}
+
+func (refGroute) Assign(_ workload.Pair, ctx *sched.Context) int {
+	best := -1
+	var bestClock float64
+	for i := 0; i < ctx.NumGPU; i++ {
+		if ctx.Down.Has(i) {
+			continue
+		}
+		if c := ctx.Cluster.Device(i).Clock(); best < 0 || c < bestClock {
+			best, bestClock = i, c
+		}
+	}
+	if best < 0 {
+		best = 0 // no live device: unreachable, the engine errors first
+	}
+	if rec := ctx.Decision; rec != nil {
+		rec.Policy = "earliest-device"
+		for i := 0; i < ctx.NumGPU; i++ {
+			if ctx.Down.Has(i) {
+				continue
+			}
+			rec.Candidates = append(rec.Candidates,
+				obs.CandidateScore{Device: i, Score: ctx.Cluster.Device(i).Clock()})
+		}
+	}
+	return best
+}
+
 // refLocalityOnly is the scan-path LocalityOnly baseline: two residency
 // map probes per device instead of the index's two mask probes per pair.
+// Like the live baseline it skips down devices.
 type refLocalityOnly struct{}
 
 func (refLocalityOnly) Name() string              { return "LocalityOnly" }
@@ -216,6 +264,9 @@ func (refLocalityOnly) Assign(p workload.Pair, ctx *sched.Context) int {
 	best, bestBytes := -1, int64(-1)
 	var bestClock float64
 	for i := 0; i < ctx.NumGPU; i++ {
+		if ctx.Down.Has(i) {
+			continue
+		}
 		d := ctx.Cluster.Device(i)
 		var res int64
 		if d.Holds(p.A.ID) {
@@ -248,10 +299,10 @@ func (s *refMICCO) PatternCounts() [4]int64 { return s.patterns }
 
 func (s *refMICCO) EvictionPolicyUses() int64 { return s.evictionPolicyUses }
 
-// crossCase pairs a live scheduler with its scan-path reference. Groute
-// and RoundRobin never consulted residency, so their reference is a second
-// fresh instance of the live code (a pure determinism check that keeps the
-// property covering every scheduler in the repo).
+// crossCase pairs a live scheduler with its scan-path reference.
+// RoundRobin never consulted residency or device state, so its reference
+// is a second fresh instance of the live code (a pure determinism check
+// that keeps the property covering every scheduler in the repo).
 type crossCase struct {
 	name string
 	live func() sched.Scheduler
@@ -271,7 +322,7 @@ func crossCases() []crossCase {
 			func() sched.Scheduler { return newRefMICCO(core.Bounds{1, 2, 3}) }},
 		{"Groute",
 			func() sched.Scheduler { return baseline.NewGroute() },
-			func() sched.Scheduler { return baseline.NewGroute() }},
+			func() sched.Scheduler { return refGroute{} }},
 		{"RoundRobin",
 			func() sched.Scheduler { return baseline.NewRoundRobin() },
 			func() sched.Scheduler { return baseline.NewRoundRobin() }},
@@ -294,11 +345,45 @@ func crossWorkload(t *testing.T, seed int64) *workload.Workload {
 	return w
 }
 
-func crossRun(t *testing.T, w *workload.Workload, s sched.Scheduler, mem int64) (*sched.Result, []obs.DecisionRecord) {
+// crossArm is one cluster set-up the property runs every case on.
+type crossArm struct {
+	name string
+	cfg  gpusim.Config
+	// scarce shrinks the pools to a handful of operand-sized tensors per
+	// device, so placements run into WouldOversubscribe and evictions.
+	scarce bool
+	plan   *fault.Plan
+}
+
+// crossArms covers the 4-device cluster with ample and scarce memory; a
+// 1024-device cluster, where step III and Groute scan candidate lists
+// spanning the whole cluster and holder sets spill past the inline word;
+// and both sizes with devices failed mid-run, so the schedulers meet an
+// empty down set, a non-empty one, and an empty one again after restore.
+func crossArms() []crossArm {
+	wide := gpusim.MI100Nodes(16, 64)
+	return []crossArm{
+		{name: "MI100(4)", cfg: gpusim.MI100(4)},
+		{name: "MI100(4)/scarce", cfg: gpusim.MI100(4), scarce: true},
+		{name: "MI100Nodes(16,64)", cfg: wide},
+		{name: "MI100(4)/faulted", cfg: gpusim.MI100(4), plan: &fault.Plan{Events: []fault.Event{
+			{Kind: fault.DeviceLoss, Device: 1, Stage: 1, Pair: 2},
+			{Kind: fault.DeviceRestore, Device: 1, Stage: 2, Pair: 3},
+		}}},
+		{name: "MI100Nodes(16,64)/faulted", cfg: wide, plan: &fault.Plan{Events: []fault.Event{
+			{Kind: fault.DeviceLoss, Device: 0, Stage: 0, Pair: 6},
+			{Kind: fault.DeviceLoss, Device: 130, Stage: 1, Pair: 0},
+			{Kind: fault.DeviceLoss, Device: 3, Stage: 1, Pair: 4},
+			{Kind: fault.DeviceRestore, Device: 0, Stage: 2, Pair: 2},
+		}}},
+	}
+}
+
+func crossRun(t *testing.T, w *workload.Workload, s sched.Scheduler, arm crossArm) (*sched.Result, []obs.DecisionRecord) {
 	t.Helper()
-	cfg := gpusim.MI100(4)
-	if mem > 0 {
-		cfg.MemoryBytes = mem
+	cfg := arm.cfg
+	if arm.scarce {
+		cfg.MemoryBytes = 5 * w.Inputs[0].Bytes()
 	}
 	c, err := gpusim.NewCluster(cfg)
 	if err != nil {
@@ -310,6 +395,7 @@ func crossRun(t *testing.T, w *workload.Workload, s sched.Scheduler, mem int64) 
 		Numeric:           true,
 		NumericSeed:       7,
 		Obs:               reg,
+		FaultPlan:         arm.plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,64 +404,66 @@ func crossRun(t *testing.T, w *workload.Workload, s sched.Scheduler, mem int64) 
 }
 
 // TestMaskPathMatchesScanPathReference is the cross-check property of the
-// residency-index change: across seeded random workloads, every scheduler,
-// and both ample and scarce device memory (the latter forcing the
-// memory-eviction policy and host staging), the mask path reproduces the
-// scan path bit for bit.
+// placement paths: across seeded random workloads, every scheduler, and
+// every arm of crossArms (scarce memory forcing the memory-eviction policy
+// and host staging, a 1024-device cluster, devices lost and restored
+// mid-run), the live path reproduces the scan path bit for bit.
 func TestMaskPathMatchesScanPathReference(t *testing.T) {
 	seeds := []int64{11, 23, 47}
-	var evictionRuns int64
+	var evictionRuns, devicesLost int64
 	for _, seed := range seeds {
 		w := crossWorkload(t, seed)
-		// Scarce memory: a handful of operand-sized tensors per device, so
-		// placements run into WouldOversubscribe and evictions.
-		scarce := 5 * w.Inputs[0].Bytes()
-		for _, mem := range []int64{0, scarce} {
+		for _, arm := range crossArms() {
 			for _, tc := range crossCases() {
 				live := tc.live()
 				ref := tc.ref()
-				lr, ld := crossRun(t, w, live, mem)
-				rr, rd := crossRun(t, w, ref, mem)
+				lr, ld := crossRun(t, w, live, arm)
+				rr, rd := crossRun(t, w, ref, arm)
+				devicesLost += int64(lr.Recovery.DevicesLost)
 
 				if !reflect.DeepEqual(lr.Assignments, rr.Assignments) {
-					t.Errorf("seed %d mem %d %s: assignments diverge from scan-path reference",
-						seed, mem, tc.name)
+					t.Errorf("seed %d %s %s: assignments diverge from scan-path reference",
+						seed, arm.name, tc.name)
 					continue
 				}
 				if lr.NumericFingerprint != rr.NumericFingerprint {
-					t.Errorf("seed %d mem %d %s: fingerprint %g != reference %g",
-						seed, mem, tc.name, lr.NumericFingerprint, rr.NumericFingerprint)
+					t.Errorf("seed %d %s %s: fingerprint %g != reference %g",
+						seed, arm.name, tc.name, lr.NumericFingerprint, rr.NumericFingerprint)
 				}
 				if lr.Makespan != rr.Makespan {
-					t.Errorf("seed %d mem %d %s: makespan %g != reference %g",
-						seed, mem, tc.name, lr.Makespan, rr.Makespan)
+					t.Errorf("seed %d %s %s: makespan %g != reference %g",
+						seed, arm.name, tc.name, lr.Makespan, rr.Makespan)
 				}
 				if lr.Total != rr.Total {
-					t.Errorf("seed %d mem %d %s: device stats diverge:\n %+v\n %+v",
-						seed, mem, tc.name, lr.Total, rr.Total)
+					t.Errorf("seed %d %s %s: device stats diverge:\n %+v\n %+v",
+						seed, arm.name, tc.name, lr.Total, rr.Total)
+				}
+				if lr.Recovery != rr.Recovery {
+					t.Errorf("seed %d %s %s: recovery stats diverge:\n %+v\n %+v",
+						seed, arm.name, tc.name, lr.Recovery, rr.Recovery)
 				}
 				if len(ld) != len(rd) {
-					t.Fatalf("seed %d mem %d %s: %d decisions vs %d in reference",
-						seed, mem, tc.name, len(ld), len(rd))
+					t.Fatalf("seed %d %s %s: %d decisions vs %d in reference",
+						seed, arm.name, tc.name, len(ld), len(rd))
 				}
 				for i := range ld {
 					if !reflect.DeepEqual(ld[i], rd[i]) {
-						t.Errorf("seed %d mem %d %s: decision %d diverges:\n %+v\n %+v",
-							seed, mem, tc.name, i, ld[i], rd[i])
+						t.Errorf("seed %d %s %s: decision %d diverges:\n %+v\n %+v",
+							seed, arm.name, tc.name, i, ld[i], rd[i])
 						break
 					}
 				}
 				lp, lok := live.(patternCounter)
 				rp, rok := ref.(patternCounter)
 				if lok && rok && lp.PatternCounts() != rp.PatternCounts() {
-					t.Errorf("seed %d mem %d %s: pattern counts %v != reference %v",
-						seed, mem, tc.name, lp.PatternCounts(), rp.PatternCounts())
+					t.Errorf("seed %d %s %s: pattern counts %v != reference %v",
+						seed, arm.name, tc.name, lp.PatternCounts(), rp.PatternCounts())
 				}
 				if lm, ok := live.(*core.Scheduler); ok {
 					rm := ref.(*refMICCO)
 					if lm.EvictionPolicyUses() != rm.EvictionPolicyUses() {
-						t.Errorf("seed %d mem %d %s: eviction-policy uses %d != reference %d",
-							seed, mem, tc.name, lm.EvictionPolicyUses(), rm.EvictionPolicyUses())
+						t.Errorf("seed %d %s %s: eviction-policy uses %d != reference %d",
+							seed, arm.name, tc.name, lm.EvictionPolicyUses(), rm.EvictionPolicyUses())
 					}
 					evictionRuns += lm.EvictionPolicyUses()
 				}
@@ -383,8 +471,12 @@ func TestMaskPathMatchesScanPathReference(t *testing.T) {
 		}
 	}
 	// The property is vacuous for Algorithm 2's memory-eviction branch
-	// unless some run actually triggered it.
+	// unless some run actually triggered it, and for the down-device
+	// filters unless some run lost a device.
 	if evictionRuns == 0 {
 		t.Error("no run exercised the memory-eviction policy; shrink the scarce-memory configuration")
+	}
+	if devicesLost == 0 {
+		t.Error("no run lost a device; the faulted arms no longer fire")
 	}
 }

@@ -103,25 +103,40 @@ func ClassifyMasks(a, b gpusim.DevSet) obs.ReusePattern {
 	}
 }
 
+// Footprint is a pair's memory demand, read once per pair so schedulers
+// projecting it onto many candidate devices size the tensors once: the
+// bytes of operands A and B and of the output. B is zero when the pair
+// contracts an operand with itself, so the shared operand counts once.
+type Footprint struct{ A, B, Out int64 }
+
+// FootprintOf returns pair p's footprint.
+func FootprintOf(p *workload.Pair) Footprint {
+	f := Footprint{A: p.A.Bytes(), Out: p.Out.Bytes()}
+	if p.B.ID != p.A.ID {
+		f.B = p.B.Bytes()
+	}
+	return f
+}
+
+// Projected returns the bytes a device now holding used bytes would hold
+// after executing the pair there: current usage plus each operand it does
+// not hold (holdsA, holdsB) plus the output.
+func (f Footprint) Projected(used int64, holdsA, holdsB bool) int64 {
+	m := used + f.Out
+	if !holdsA {
+		m += f.A
+	}
+	if !holdsB {
+		m += f.B
+	}
+	return m
+}
+
 // ProjectedMem returns the bytes GPU dev would hold after executing pair p
 // there: current usage plus any non-resident input plus the output.
 func (c *Context) ProjectedMem(dev int, p workload.Pair) int64 {
-	return c.ProjectedMemMasked(dev, p, c.HoldersMask(p.A.ID), c.HoldersMask(p.B.ID))
-}
-
-// ProjectedMemMasked is ProjectedMem with the pair's holder masks already
-// in hand, so schedulers probing many candidate devices against one pair
-// pay the residency lookups once instead of twice per device.
-func (c *Context) ProjectedMemMasked(dev int, p workload.Pair, ma, mb gpusim.DevSet) int64 {
-	m := c.Cluster.Device(dev).MemUsed()
-	if !ma.Has(dev) {
-		m += p.A.Bytes()
-	}
-	if !mb.Has(dev) && p.B.ID != p.A.ID {
-		m += p.B.Bytes()
-	}
-	m += p.Out.Bytes()
-	return m
+	return FootprintOf(&p).Projected(c.Cluster.Device(dev).MemUsed(),
+		c.HoldersMask(p.A.ID).Has(dev), c.HoldersMask(p.B.ID).Has(dev))
 }
 
 // WouldOversubscribe reports whether executing p on dev would exceed the
