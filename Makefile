@@ -54,10 +54,11 @@ soak:
 # pre-fast-tier baseline merged in (via cmd/benchjson, which tees the raw
 # output through), then the scheduler-overhead suite — per-placement
 # cost, obs on/off, the parallel numeric pipeline and the reclaim-arena
-# contention probe — as BENCH_sched.json with the pre-change baseline
+# contention probe and the durable checkpoint's snapshot, encode, save
+# and load — as BENCH_sched.json with the pre-change baseline
 # numbers merged in for comparison.
 bench:
 	$(GO) test -run '^$$' -bench 'Contraction' -benchmem . \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_kernel_baseline.json -o BENCH_kernel.json
-	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ArenaContention' -benchmem ./internal/sched \
+	$(GO) test -run '^$$' -bench 'SchedulerAssign|RunScheduleOnly|NumericPipeline|ArenaContention|Checkpoint' -benchmem ./internal/sched \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_sched_baseline.json -o BENCH_sched.json

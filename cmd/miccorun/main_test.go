@@ -308,3 +308,22 @@ func TestRunCheckpointAndSupervise(t *testing.T) {
 		t.Error("-stall-budget without -supervise accepted")
 	}
 }
+
+// TestRunSuperviseRejectsOtherSchedulersCheckpoint: a supervised rerun
+// under Groute over a directory holding MICCO's checkpoint must fail with
+// ErrCheckpointMismatch, not print MICCO's numbers under Groute's name.
+func TestRunSuperviseRejectsOtherSchedulersCheckpoint(t *testing.T) {
+	path := workloadFile(t)
+	dir := t.TempDir()
+	cfg := base(path)
+	cfg.ckptDir = dir
+	if err := silence(t, func() error { return run(context.Background(), cfg) }); err != nil {
+		t.Fatalf("MICCO checkpointed run: %v", err)
+	}
+	cfg.scheduler = "groute"
+	cfg.supervise = true
+	err := silence(t, func() error { return run(context.Background(), cfg) })
+	if !errors.Is(err, micco.ErrCheckpointMismatch) {
+		t.Fatalf("Groute resumed MICCO's checkpoint: err = %v, want %v", err, micco.ErrCheckpointMismatch)
+	}
+}

@@ -2,7 +2,8 @@ package gpusim
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"micco/internal/tensor"
 )
@@ -73,8 +74,16 @@ func (cp *Checkpoint) Validate() error {
 		return fmt.Errorf("gpusim: checkpoint link/p2p clock counts differ (%d vs %d)",
 			len(cp.LinkClocks), len(cp.P2PClocks))
 	}
-	if cp.LinkFactor < 0 {
-		return fmt.Errorf("gpusim: checkpoint link factor %v negative", cp.LinkFactor)
+	for n := range cp.LinkClocks {
+		if !nonNegFinite(cp.LinkClocks[n]) || !nonNegFinite(cp.P2PClocks[n]) {
+			return fmt.Errorf("gpusim: checkpoint node %d has a negative or non-finite link clock", n)
+		}
+	}
+	if !nonNegFinite(cp.InterClock) {
+		return fmt.Errorf("gpusim: checkpoint interconnect clock %v negative or non-finite", cp.InterClock)
+	}
+	if !nonNegFinite(cp.LinkFactor) {
+		return fmt.Errorf("gpusim: checkpoint link factor %v negative or non-finite", cp.LinkFactor)
 	}
 	if cp.TransientLeft < 0 {
 		return fmt.Errorf("gpusim: checkpoint transient budget %d negative", cp.TransientLeft)
@@ -84,9 +93,12 @@ func (cp *Checkpoint) Validate() error {
 			return fmt.Errorf("gpusim: checkpoint host tensor %v invalid", hs.Desc)
 		}
 	}
+	if err := cp.checkHostNodes(len(cp.LinkClocks)); err != nil {
+		return err
+	}
 	for i, ds := range cp.Devices {
-		if ds.Clock < 0 || ds.CopyClock < 0 {
-			return fmt.Errorf("gpusim: checkpoint device %d has negative clocks", i)
+		if !nonNegFinite(ds.Clock) || !nonNegFinite(ds.CopyClock) {
+			return fmt.Errorf("gpusim: checkpoint device %d has negative or non-finite clocks", i)
 		}
 		if ds.MemPeak < 0 || ds.Capacity < 0 {
 			return fmt.Errorf("gpusim: checkpoint device %d has negative memory fields", i)
@@ -96,10 +108,31 @@ func (cp *Checkpoint) Validate() error {
 			if !bs.Desc.Valid() {
 				return fmt.Errorf("gpusim: checkpoint device %d resident tensor %v invalid", i, bs.Desc)
 			}
+			if !nonNegFinite(bs.ReadyAt) {
+				return fmt.Errorf("gpusim: checkpoint device %d tensor %d ready time %v negative or non-finite", i, bs.Desc.ID, bs.ReadyAt)
+			}
 			if seen[bs.Desc.ID] {
 				return fmt.Errorf("gpusim: checkpoint device %d holds tensor %d twice", i, bs.Desc.ID)
 			}
 			seen[bs.Desc.ID] = true
+		}
+	}
+	return nil
+}
+
+// nonNegFinite reports whether v is finite and not negative, as every
+// simulated time and the link factor must be.
+func nonNegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// checkHostNodes rejects a host node index outside [0, numNodes): Restore
+// grows a node set to hold each index, so one huge index is enough to
+// exhaust memory.
+func (cp *Checkpoint) checkHostNodes(numNodes int) error {
+	for _, hs := range cp.Host {
+		for _, n := range hs.Nodes {
+			if n < 0 || n >= numNodes {
+				return fmt.Errorf("gpusim: checkpoint host tensor %d on node %d, cluster has %d nodes", hs.Desc.ID, n, numNodes)
+			}
 		}
 	}
 	return nil
@@ -156,14 +189,18 @@ func (c *Cluster) Checkpoint() *Checkpoint {
 		Host:          make([]HostState, 0, len(c.hostResident)),
 		Devices:       make([]DeviceState, len(c.devices)),
 	}
-	for _, desc := range c.hostResident {
-		hs := HostState{Desc: desc}
+	ids := make([]uint64, 0, len(c.hostResident))
+	for id := range c.hostResident {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		hs := HostState{Desc: c.hostResident[id]}
 		if c.hostNodes != nil {
-			hs.Nodes = c.hostNodes[desc.ID].AppendTo(nil)
+			hs.Nodes = c.hostNodes[id].AppendTo(nil)
 		}
 		cp.Host = append(cp.Host, hs)
 	}
-	sort.Slice(cp.Host, func(i, j int) bool { return cp.Host[i].Desc.ID < cp.Host[j].Desc.ID })
 	for i, d := range c.devices {
 		ds := DeviceState{
 			Clock:     d.clock,
@@ -195,6 +232,9 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	if len(cp.LinkClocks) != c.numNodes || len(cp.P2PClocks) != c.numNodes {
 		return fmt.Errorf("gpusim: checkpoint has %d/%d node link clocks, cluster has %d nodes",
 			len(cp.LinkClocks), len(cp.P2PClocks), c.numNodes)
+	}
+	if err := cp.checkHostNodes(c.numNodes); err != nil {
+		return err
 	}
 	c.Reset()
 	copy(c.linkClocks, cp.LinkClocks)

@@ -307,3 +307,63 @@ func TestMultiNodeCheckpointRoundTrip(t *testing.T) {
 		t.Error("Restore accepted a checkpoint from a different topology")
 	}
 }
+
+// TestCheckpointRejectsHostNodeOutOfRange: a snapshot naming a host node
+// the cluster does not have fails Validate, and Restore refuses it too,
+// instead of growing a node set to the index and exhausting memory.
+func TestCheckpointRejectsHostNodeOutOfRange(t *testing.T) {
+	c, err := NewCluster(MI100Nodes(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RegisterHostTensor(topoDesc(1))
+	good := c.Checkpoint()
+	if err := good.Validate(); err != nil {
+		t.Fatalf("real multi-node snapshot rejected: %v", err)
+	}
+	for _, node := range []int{1 << 40, 2, -1} {
+		cp := c.Checkpoint()
+		cp.Host[0].Nodes = []int{node}
+		if err := cp.Validate(); err == nil {
+			t.Errorf("Validate accepted host node %d on a 2-node cluster", node)
+		}
+		if err := c.Restore(cp); err == nil {
+			t.Errorf("Restore accepted host node %d on a 2-node cluster", node)
+		}
+	}
+	if err := c.Restore(good); err != nil {
+		t.Fatalf("restoring the real snapshot after the rejections: %v", err)
+	}
+}
+
+// TestCheckpointRejectsNonFiniteTimes: a decoded snapshot can carry any
+// float bits, so Validate rejects NaN, infinite and negative times.
+func TestCheckpointRejectsNonFiniteTimes(t *testing.T) {
+	c, err := NewCluster(MI100Nodes(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, out := topoDesc(1), topoDesc(2), topoDesc(3)
+	c.RegisterHostTensor(a)
+	c.RegisterHostTensor(b)
+	if _, err := c.ExecContraction(0, a, b, out); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "negative": -1} {
+		for field, set := range map[string]func(*Checkpoint){
+			"link clock":     func(cp *Checkpoint) { cp.LinkClocks[1] = v },
+			"p2p clock":      func(cp *Checkpoint) { cp.P2PClocks[0] = v },
+			"inter clock":    func(cp *Checkpoint) { cp.InterClock = v },
+			"link factor":    func(cp *Checkpoint) { cp.LinkFactor = v },
+			"device clock":   func(cp *Checkpoint) { cp.Devices[0].Clock = v },
+			"copy clock":     func(cp *Checkpoint) { cp.Devices[0].CopyClock = v },
+			"block ready at": func(cp *Checkpoint) { cp.Devices[0].Resident[0].ReadyAt = v },
+		} {
+			cp := c.Checkpoint()
+			set(cp)
+			if err := cp.Validate(); err == nil {
+				t.Errorf("Validate accepted a %s %s", name, field)
+			}
+		}
+	}
+}

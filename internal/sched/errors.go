@@ -32,3 +32,8 @@ var (
 // set, the partial Result accompanying the error carries the last
 // stage-boundary checkpoint for Options.ResumeFrom.
 var ErrClusterLost = errors.New("all devices lost")
+
+// ErrCheckpointMismatch marks a resume checkpoint taken from a different
+// run than the one resuming it: another workload, scheduler, cluster
+// size, stage count, numeric seed or kernel tier.
+var ErrCheckpointMismatch = errors.New("checkpoint does not match the resumed run")

@@ -83,19 +83,24 @@ func (cp *Checkpoint) Workload() string { return cp.workload }
 // checkpointed prefix.
 func (cp *Checkpoint) Scheduler() string { return cp.scheduler }
 
-// validateFor checks that the checkpoint can seed a resumed run.
-func (cp *Checkpoint) validateFor(name string, stages, numDevices int) error {
+// validateFor checks that the checkpoint can seed a resumed run of
+// workload name under the named scheduler. Every mismatch wraps
+// ErrCheckpointMismatch.
+func (cp *Checkpoint) validateFor(name, scheduler string, stages, numDevices int) error {
 	if cp.cluster == nil {
 		return fmt.Errorf("sched: %w: checkpoint has no cluster snapshot", ErrNilArgument)
 	}
 	if cp.workload != name {
-		return fmt.Errorf("sched: checkpoint is for workload %q, resuming %q", cp.workload, name)
+		return fmt.Errorf("sched: %w: checkpoint is for workload %q, resuming %q", ErrCheckpointMismatch, cp.workload, name)
+	}
+	if cp.scheduler != scheduler {
+		return fmt.Errorf("sched: %w: checkpoint was written by scheduler %q, resuming under %q", ErrCheckpointMismatch, cp.scheduler, scheduler)
 	}
 	if cp.numDevices != numDevices {
-		return fmt.Errorf("sched: checkpoint is for %d devices, cluster has %d", cp.numDevices, numDevices)
+		return fmt.Errorf("sched: %w: checkpoint is for %d devices, cluster has %d", ErrCheckpointMismatch, cp.numDevices, numDevices)
 	}
 	if cp.nextStage < 0 || cp.nextStage > stages {
-		return fmt.Errorf("sched: checkpoint resumes at stage %d of %d", cp.nextStage, stages)
+		return fmt.Errorf("sched: %w: checkpoint resumes at stage %d of %d", ErrCheckpointMismatch, cp.nextStage, stages)
 	}
 	return nil
 }
@@ -108,11 +113,11 @@ func (cp *Checkpoint) validateNumeric(o Options) error {
 		return nil
 	}
 	if cp.numericSeed != o.NumericSeed {
-		return fmt.Errorf("sched: checkpoint numeric seed %d, resuming with %d", cp.numericSeed, o.NumericSeed)
+		return fmt.Errorf("sched: %w: checkpoint numeric seed %d, resuming with %d", ErrCheckpointMismatch, cp.numericSeed, o.NumericSeed)
 	}
 	if cp.fastKernels != o.FastKernels {
-		return fmt.Errorf("sched: checkpoint kernel tier (fast=%v) does not match resume options (fast=%v)",
-			cp.fastKernels, o.FastKernels)
+		return fmt.Errorf("sched: %w: checkpoint kernel tier (fast=%v) does not match resume options (fast=%v)",
+			ErrCheckpointMismatch, cp.fastKernels, o.FastKernels)
 	}
 	return nil
 }
@@ -329,11 +334,15 @@ func (e *engine) snapshot(nextStage int) error {
 	if every := e.opts.CheckpointEvery; every > 1 && nextStage%every != 0 && nextStage != len(e.w.Stages) {
 		return nil
 	}
-	n, err := SaveCheckpointFile(CheckpointPath(e.opts.CheckpointDir, e.w.Name), cp)
+	buf, err := appendCheckpoint(e.ckptBuf[:0], cp)
+	if err == nil {
+		e.ckptBuf = buf
+		err = writeFileAtomic(CheckpointPath(e.opts.CheckpointDir, e.w.Name), buf)
+	}
 	if err != nil {
 		return fmt.Errorf("sched: durable checkpoint at stage %d: %w", nextStage, err)
 	}
 	e.ckptWrites.Inc()
-	e.ckptBytes.Add(float64(n))
+	e.ckptBytes.Add(float64(len(buf)))
 	return nil
 }

@@ -221,6 +221,9 @@ func newNumericStore(ctx context.Context, w *workload.Workload, opts Options) (*
 	// Input data is drawn sequentially from one stream so the store's
 	// contents do not depend on the pool size.
 	for _, d := range w.Inputs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		t, err := tensor.NewRandom(d, rng)
 		if err != nil {
 			return nil, fmt.Errorf("sched: numeric input %v: %w", d, err)

@@ -392,6 +392,8 @@ type engine struct {
 	prog       *Progress
 	ckptWrites *obs.Counter
 	ckptBytes  *obs.Counter
+	// ckptBuf holds the last durable encoding; the next write reuses it.
+	ckptBuf []byte
 	// decRec is the run's single decision-record scratch: placePair
 	// resets and refills it per pair, RecordDecision deep-copies what it
 	// keeps (including Candidates, into the registry's arena), so the
@@ -609,7 +611,7 @@ func Run(ctx context.Context, w *workload.Workload, s Scheduler, c *gpusim.Clust
 	}
 	resume := opts.ResumeFrom
 	if resume != nil {
-		if err := resume.validateFor(w.Name, len(w.Stages), n); err != nil {
+		if err := resume.validateFor(w.Name, s.Name(), len(w.Stages), n); err != nil {
 			return nil, err
 		}
 		if err := resume.validateNumeric(opts); err != nil {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"micco/internal/gpusim"
@@ -244,5 +245,38 @@ func TestRunChainedWorkload(t *testing.T) {
 	// staging write-back under the host-staged data path.
 	if res.Total.D2HBytes == 0 {
 		t.Error("expected host staging of intermediates across devices")
+	}
+}
+
+// TestNumericStoreSetupHonoursCancel: input generation checks the context
+// before each input, so a cancelled run generates none of them.
+func TestNumericStoreSetupHonoursCancel(t *testing.T) {
+	w := smallWorkload(t, 2, 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := newNumericStore(ctx, w, Options{Numeric: true})
+	if !errors.Is(err, context.Canceled) || s != nil {
+		t.Fatalf("newNumericStore on a cancelled context = %v, %v; want nil, context.Canceled", s, err)
+	}
+}
+
+// TestCheckpointBufferReuse: once the engine's buffer has grown, a stage
+// boundary's encoding allocates nothing.
+func TestCheckpointBufferReuse(t *testing.T) {
+	res, err := Run(context.Background(), smallWorkload(t, 3, 8), &spreadScheduler{}, cluster(t, 2), Options{Checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := appendCheckpoint(nil, res.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if buf, err = appendCheckpoint(buf[:0], res.Checkpoint); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("re-encoding into a grown buffer allocates %v times, want 0", allocs)
 	}
 }

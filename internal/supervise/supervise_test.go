@@ -2,9 +2,12 @@ package supervise_test
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -273,6 +276,43 @@ func TestSupervisorResumeFromDisk(t *testing.T) {
 	}
 	if res.NumericFingerprint != want {
 		t.Errorf("fingerprint %x after disk resume, want %x", res.NumericFingerprint, want)
+	}
+}
+
+// TestSupervisorResumeFromDiskIgnoresV1: a checkpoint file in the old
+// JSON format (version 1) is unreadable to this build, so a supervisor
+// told to resume from disk starts the run fresh and still completes it.
+func TestSupervisorResumeFromDiskIgnoresV1(t *testing.T) {
+	w := numericWorkload(t, 29)
+	want := cleanFingerprint(t, w, 29)
+	dir := t.TempDir()
+	payload := []byte(`{"workload":"` + w.Name + `","scheduler":"RoundRobin","num_devices":4,"next_stage":1,"cluster":{}}`)
+	v1 := append([]byte("MCCK"), binary.LittleEndian.AppendUint32(nil, 1)...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+	v1 = binary.LittleEndian.AppendUint64(v1, uint64(len(payload)))
+	path := sched.CheckpointPath(dir, w.Name)
+	if err := os.WriteFile(path, append(v1, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.LoadCheckpointFile(path); !errors.Is(err, sched.ErrCheckpointVersion) {
+		t.Fatalf("loading a v1 file: err = %v, want %v", err, sched.ErrCheckpointVersion)
+	}
+
+	newSched, newClus := factories(t)
+	res, st, err := supervise.Run(context.Background(), supervise.Config{
+		Workload: w, NewScheduler: newSched, NewCluster: newClus,
+		Run:            sched.Options{Numeric: true, NumericSeed: 29, CheckpointDir: dir},
+		Sleep:          func(time.Duration) {},
+		ResumeFromDisk: true,
+	})
+	if err != nil {
+		t.Fatalf("supervised run over a v1 file: %v", err)
+	}
+	if st.ResumedFromDisk {
+		t.Error("ResumedFromDisk reported for a v1 file")
+	}
+	if res.NumericFingerprint != want {
+		t.Errorf("fingerprint %x, want the fresh run's %x", res.NumericFingerprint, want)
 	}
 }
 

@@ -391,6 +391,10 @@ var (
 	// ErrCheckpointVersion marks a durable checkpoint written by a format
 	// version this build does not understand.
 	ErrCheckpointVersion = sched.ErrCheckpointVersion
+	// ErrCheckpointMismatch marks a resume checkpoint taken from a
+	// different run: another workload, scheduler, cluster size, stage
+	// count, numeric seed or kernel tier.
+	ErrCheckpointMismatch = sched.ErrCheckpointMismatch
 	// ErrWorkerPanic marks a panic contained in a numeric pipeline worker
 	// or coordinator; the wrapped WorkerPanicError carries the stack.
 	ErrWorkerPanic = tensor.ErrWorkerPanic
@@ -411,7 +415,7 @@ type (
 )
 
 // SaveCheckpoint writes cp to w in the versioned durable format (CRC32
-// integrity header + JSON payload), returning the encoded size.
+// integrity header + binary payload), returning the encoded size.
 func SaveCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 	return sched.EncodeCheckpoint(w, cp)
 }
