@@ -30,10 +30,15 @@ benchsmoke:
 # ns/op merged into the same document. Kernels: every BenchmarkContraction*
 # entry in BENCH_kernel.json must stay within 2.5x its baseline ns/op
 # (allocation check off — kernel benchmarks legitimately allocate; the
-# wider tolerance absorbs machine throttling on shared runners). Re-run
-# `make bench` to refresh the recordings before the guard.
+# wider tolerance absorbs machine throttling on shared runners). Stage
+# snapshots: BenchmarkCheckpoint/snapshot-stage (one stage's host changes
+# merged into reused snapshot buffers) must report 0 allocs/op and stay
+# within 2x its baseline ns/op. Re-run `make bench` to refresh the
+# recordings before the guard.
 benchguard:
 	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0
+	$(GO) run ./cmd/benchjson -guard BENCH_sched.json -guard-tol 2.0 \
+		-guard-prefix BenchmarkCheckpoint/snapshot-stage
 	$(GO) run ./cmd/benchjson -guard BENCH_kernel.json -guard-tol 2.5 \
 		-guard-prefix BenchmarkContraction -guard-max-allocs -1
 

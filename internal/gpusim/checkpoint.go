@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -51,8 +52,8 @@ type Checkpoint struct {
 	InterBytes    int64
 	LinkFactor    float64 // bwFactor; 0 = undegraded
 	TransientLeft int
-	// Host lists host-resident tensors with their node presence,
-	// ID-sorted for deterministic iteration.
+	// Host lists host-resident tensors with their node presence, in
+	// strictly ascending ID order (Validate and Restore reject any other).
 	Host    []HostState
 	Devices []DeviceState
 }
@@ -93,7 +94,7 @@ func (cp *Checkpoint) Validate() error {
 			return fmt.Errorf("gpusim: checkpoint host tensor %v invalid", hs.Desc)
 		}
 	}
-	if err := cp.checkHostNodes(len(cp.LinkClocks)); err != nil {
+	if err := cp.checkHost(len(cp.LinkClocks)); err != nil {
 		return err
 	}
 	for i, ds := range cp.Devices {
@@ -124,11 +125,18 @@ func (cp *Checkpoint) Validate() error {
 // simulated time and the link factor must be.
 func nonNegFinite(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
-// checkHostNodes rejects a host node index outside [0, numNodes): Restore
-// grows a node set to hold each index, so one huge index is enough to
-// exhaust memory.
-func (cp *Checkpoint) checkHostNodes(numNodes int) error {
-	for _, hs := range cp.Host {
+// checkHost rejects host entries whose IDs are not strictly ascending and
+// host node indices outside [0, numNodes). A repeated ID would let Restore
+// keep only its last entry, so the restored cluster would no longer match
+// the file; and the cluster's sorted host registry is seeded from the list
+// as it stands. Restore grows a node set to hold each index, so one huge
+// index is enough to exhaust memory.
+func (cp *Checkpoint) checkHost(numNodes int) error {
+	for i, hs := range cp.Host {
+		if i > 0 && hs.Desc.ID <= cp.Host[i-1].Desc.ID {
+			return fmt.Errorf("gpusim: checkpoint host entry %d (tensor %d) does not follow entry %d (tensor %d): host IDs must be strictly ascending",
+				i, hs.Desc.ID, i-1, cp.Host[i-1].Desc.ID)
+		}
 		for _, n := range hs.Nodes {
 			if n < 0 || n >= numNodes {
 				return fmt.Errorf("gpusim: checkpoint host tensor %d on node %d, cluster has %d nodes", hs.Desc.ID, n, numNodes)
@@ -175,48 +183,99 @@ func (cp *Checkpoint) ReviveDevices() int {
 	return n
 }
 
-// Checkpoint captures the cluster's complete simulation state. Intended at
-// stage barriers (quiescent points with no pinned blocks); the snapshot
-// shares nothing with the live cluster.
+// Checkpoint captures the cluster's complete simulation state into a new
+// snapshot: CheckpointInto on a fresh Checkpoint.
 func (c *Cluster) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		LinkClocks:    append([]float64(nil), c.linkClocks...),
-		P2PClocks:     append([]float64(nil), c.p2pClocks...),
-		InterClock:    c.interClock,
-		InterBytes:    c.interBytes,
-		LinkFactor:    c.bwFactor,
-		TransientLeft: c.transientLeft,
-		Host:          make([]HostState, 0, len(c.hostResident)),
-		Devices:       make([]DeviceState, len(c.devices)),
-	}
-	ids := make([]uint64, 0, len(c.hostResident))
-	for id := range c.hostResident {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		hs := HostState{Desc: c.hostResident[id]}
+	cp := new(Checkpoint)
+	c.CheckpointInto(cp)
+	return cp
+}
+
+// CheckpointInto captures the cluster's complete simulation state into
+// dst, overwriting every field. It reuses the capacity dst already has in
+// LinkClocks, P2PClocks, Host (with each entry's Nodes) and Devices (with
+// each Resident), so a caller that reuses its snapshot allocates
+// nothing once the slices have grown. dst must be non-nil;
+// the caller owns it, and nothing else may still be reading it, since its
+// old contents are overwritten in place. The result shares no memory with
+// the cluster. Intended at stage barriers (quiescent points with no
+// pinned blocks).
+//
+// The cost of the host list is proportional to the host entries changed
+// since the previous snapshot plus one copy of the list: the cluster keeps
+// its host registry sorted between snapshots and merges in only the
+// entries it logged as touched.
+func (c *Cluster) CheckpointInto(dst *Checkpoint) {
+	dst.LinkClocks = append(dst.LinkClocks[:0], c.linkClocks...)
+	dst.P2PClocks = append(dst.P2PClocks[:0], c.p2pClocks...)
+	dst.InterClock = c.interClock
+	dst.InterBytes = c.interBytes
+	dst.LinkFactor = c.bwFactor
+	dst.TransientLeft = c.transientLeft
+	c.syncHostRegistry()
+	dst.Host = slices.Grow(dst.Host[:0], len(c.hostSorted))[:len(c.hostSorted)]
+	for i, d := range c.hostSorted {
+		hs := &dst.Host[i]
+		hs.Desc = d
 		if c.hostNodes != nil {
-			hs.Nodes = c.hostNodes[id].AppendTo(nil)
+			hs.Nodes = c.hostNodes[d.ID].AppendTo(hs.Nodes[:0])
+		} else {
+			hs.Nodes = nil
 		}
-		cp.Host = append(cp.Host, hs)
 	}
+	dst.Devices = slices.Grow(dst.Devices[:0], len(c.devices))[:len(c.devices)]
 	for i, d := range c.devices {
-		ds := DeviceState{
+		ds := &dst.Devices[i]
+		res := slices.Grow(ds.Resident[:0], len(d.resident))
+		for b := d.lruHead; b != nil; b = b.next {
+			res = append(res, BlockState{Desc: b.desc, Dirty: b.dirty, ReadyAt: b.readyAt})
+		}
+		*ds = DeviceState{
 			Clock:     d.clock,
 			CopyClock: d.copyClock,
 			MemPeak:   d.memPeak,
 			Capacity:  d.capOverride,
 			Failed:    d.failed,
 			Stats:     d.stats,
-			Resident:  make([]BlockState, 0, len(d.resident)),
+			Resident:  res,
 		}
-		for b := d.lruHead; b != nil; b = b.next {
-			ds.Resident = append(ds.Resident, BlockState{Desc: b.desc, Dirty: b.dirty, ReadyAt: b.readyAt})
-		}
-		cp.Devices[i] = ds
 	}
-	return cp
+}
+
+// syncHostRegistry brings hostSorted up to date with hostResident and
+// empties the touched log: it sorts and dedupes the log and merges it into
+// the sorted registry, reading the map only for touched IDs. After the log
+// overflowed, every host ID is logged and merged into an empty registry.
+func (c *Cluster) syncHostRegistry() {
+	if c.hostStale {
+		c.hostSorted = c.hostSorted[:0]
+		c.hostTouched = c.hostTouched[:0]
+		for id := range c.hostResident {
+			c.hostTouched = append(c.hostTouched, id)
+		}
+		c.hostStale = false
+	}
+	if len(c.hostTouched) == 0 {
+		return
+	}
+	slices.Sort(c.hostTouched)
+	old, out := c.hostSorted, c.hostSpare[:0]
+	i := 0
+	for _, id := range slices.Compact(c.hostTouched) {
+		// Copy the untouched run below id in one go, then skip id's old
+		// entry (if any) and take its current one (if any).
+		j, found := slices.BinarySearchFunc(old[i:], id, func(d tensor.Desc, id uint64) int { return cmp.Compare(d.ID, id) })
+		out = append(out, old[i:i+j]...)
+		i += j
+		if found {
+			i++
+		}
+		if d, ok := c.hostResident[id]; ok {
+			out = append(out, d)
+		}
+	}
+	c.hostSorted, c.hostSpare = append(out, old[i:]...), old
+	c.hostTouched = c.hostTouched[:0]
 }
 
 // Restore replaces the cluster's simulation state with cp (taken from a
@@ -233,18 +292,31 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		return fmt.Errorf("gpusim: checkpoint has %d/%d node link clocks, cluster has %d nodes",
 			len(cp.LinkClocks), len(cp.P2PClocks), c.numNodes)
 	}
-	if err := cp.checkHostNodes(c.numNodes); err != nil {
+	if err := cp.checkHost(c.numNodes); err != nil {
 		return err
 	}
 	c.Reset()
+	if len(cp.Host) > c.hostMapSize {
+		// A fresh cluster's maps start empty; size them once instead of
+		// growing them through every doubling.
+		c.hostMapSize = len(cp.Host)
+		c.hostResident = make(map[uint64]tensor.Desc, len(cp.Host))
+		if c.hostNodes != nil {
+			c.hostNodes = make(map[uint64]DevSet, len(cp.Host))
+		}
+	}
 	copy(c.linkClocks, cp.LinkClocks)
 	copy(c.p2pClocks, cp.P2PClocks)
 	c.interClock = cp.InterClock
 	c.interBytes = cp.InterBytes
 	c.bwFactor = cp.LinkFactor
 	c.transientLeft = cp.TransientLeft
+	// cp.Host is ID-sorted and duplicate-free (checkHost), so it seeds
+	// the sorted registry as it stands and the next snapshot merges only
+	// what changes after this point.
 	for _, hs := range cp.Host {
 		c.hostResident[hs.Desc.ID] = hs.Desc
+		c.hostSorted = append(c.hostSorted, hs.Desc)
 		if c.hostNodes != nil {
 			for _, n := range hs.Nodes {
 				c.markHostOn(hs.Desc.ID, n)

@@ -59,6 +59,18 @@ type Cluster struct {
 	// transientLeft is how many injected transient transfer failures
 	// remain to be consumed by operand fetches.
 	transientLeft int
+	// hostSorted is a private copy of hostResident's descs, ID-sorted, as
+	// of the last snapshot; hostSpare is the buffer the next snapshot
+	// merges into before the two swap. hostTouched logs the host IDs
+	// changed since that snapshot, so a snapshot re-reads only those.
+	// hostStale means the log overflowed (a cluster that rarely or never
+	// snapshots) and hostSorted must be rebuilt from the map in full.
+	hostSorted, hostSpare []tensor.Desc
+	hostTouched           []uint64
+	hostStale             bool
+	// hostMapSize is the most entries the host maps have held or been
+	// sized for, so Restore can presize fresh maps and leave grown ones.
+	hostMapSize int
 }
 
 // NewCluster builds a cluster from cfg.
@@ -114,6 +126,7 @@ func (c *Cluster) Device(i int) *Device { return c.devices[i] }
 // inter-node shipment.
 func (c *Cluster) RegisterHostTensor(d tensor.Desc) {
 	c.hostResident[d.ID] = d
+	c.touchHost(d.ID)
 	if c.hostNodes != nil {
 		c.hostNodes[d.ID] = c.hostNodes[d.ID].with(0, c.nodeRestWords)
 	}
@@ -131,6 +144,22 @@ func (c *Cluster) markHostOn(id uint64, n int) {
 	if c.hostNodes != nil {
 		c.hostNodes[id] = c.hostNodes[id].with(n, c.nodeRestWords)
 	}
+}
+
+// touchHost logs a change to host entry id for the next snapshot. Once
+// the log outgrows the registry a full rebuild is cheaper than a merge,
+// so the log is dropped; from then on a host mutation costs one branch
+// until the next snapshot rebuilds the registry.
+func (c *Cluster) touchHost(id uint64) {
+	if c.hostStale {
+		return
+	}
+	if len(c.hostTouched) > len(c.hostSorted) {
+		c.hostStale = true
+		c.hostTouched = c.hostTouched[:0]
+		return
+	}
+	c.hostTouched = append(c.hostTouched, id)
 }
 
 // HoldersOf returns the IDs of devices with tensor id resident. It
@@ -217,6 +246,7 @@ func (c *Cluster) ensureResident(d *Device, desc tensor.Desc, pin bool) (float64
 					Start: src.CopyClock() - dur, End: src.CopyClock(), Bytes: desc.Bytes()})
 			}
 			c.hostResident[desc.ID] = desc
+			c.touchHost(desc.ID)
 			c.markHostOn(desc.ID, src.node)
 		} else {
 			return 0, fmt.Errorf("gpusim: %w: tensor %d (%d bytes) resident on no device and absent from host (device %d requesting)",
@@ -438,7 +468,11 @@ func (c *Cluster) Discard(id uint64) {
 			d.drop(b)
 		}
 	}
+	n := len(c.hostResident)
 	delete(c.hostResident, id)
+	if len(c.hostResident) < n {
+		c.touchHost(id)
+	}
 	if c.hostNodes != nil {
 		delete(c.hostNodes, id)
 	}
@@ -514,10 +548,14 @@ func (c *Cluster) Reset() {
 	}
 	c.interClock = 0
 	c.interBytes = 0
+	c.hostMapSize = max(c.hostMapSize, len(c.hostResident))
 	clear(c.hostResident)
 	if c.hostNodes != nil {
 		clear(c.hostNodes)
 	}
+	c.hostSorted = c.hostSorted[:0]
+	c.hostTouched = c.hostTouched[:0]
+	c.hostStale = false
 	c.traceEvents = nil
 	c.bwFactor = 0
 	c.transientLeft = 0

@@ -281,6 +281,7 @@ func (d *Device) evictFor(size int64, c *Cluster) error {
 			cost += c.hostLinkOccupy(d, dur)
 			d.stats.D2HBytes += victim.desc.Bytes()
 			c.hostResident[victim.desc.ID] = victim.desc
+			c.touchHost(victim.desc.ID)
 			c.markHostOn(victim.desc.ID, d.node)
 			c.trace(Event{Kind: EventD2H, Device: d.id, Tensor: victim.desc.ID,
 				Start: d.CopyClock() - dur, End: d.CopyClock(), Bytes: victim.desc.Bytes()})

@@ -384,13 +384,31 @@ func payloadSeedCheckpoints(tb testing.TB) []*sched.Checkpoint {
 // the CRC. Every input must give a typed error, or be accepted and
 // re-encode to exactly the bytes that were decoded.
 func FuzzCheckpointPayload(f *testing.F) {
-	for _, cp := range payloadSeedCheckpoints(f) {
+	cps := payloadSeedCheckpoints(f)
+	for _, cp := range cps {
 		var buf bytes.Buffer
 		if _, err := sched.EncodeCheckpoint(&buf, cp); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes()[20:])
 	}
+	// A payload whose host list repeats an ID with a different shape: the
+	// encoder writes what it is given, so it produces one if asked. The
+	// decoder must reject it, or a resume would keep only the last entry.
+	cl := cps[0].Cluster()
+	host := cl.Host
+	dup := cl.Host[0]
+	dup.Desc.Dim, dup.Desc.Batch = 64, 8
+	cl.Host = append([]gpusim.HostState{cl.Host[0], dup}, cl.Host[1:]...)
+	var buf bytes.Buffer
+	if _, err := sched.EncodeCheckpoint(&buf, cps[0]); err != nil {
+		f.Fatal(err)
+	}
+	cl.Host = host
+	if _, err := sched.DecodeCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, sched.ErrCheckpointCorrupt) {
+		f.Fatalf("payload with a duplicate host ID: %v, want ErrCheckpointCorrupt", err)
+	}
+	f.Add(buf.Bytes()[20:])
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		data := frame(sched.CheckpointVersion, payload)
 		got, err := sched.DecodeCheckpoint(bytes.NewReader(data))
@@ -461,6 +479,38 @@ func BenchmarkCheckpoint(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSnapshot = c.Checkpoint()
 		}
+	})
+	// snapshot-stage is the in-run case: one stage's worth of host
+	// entries (256) changes between snapshots, and the snapshot is
+	// reused, as the engine reuses its own. /snapshot takes each snapshot of an unchanged
+	// cluster into a new checkpoint.
+	b.Run("snapshot-stage", func(b *testing.B) {
+		c, err := gpusim.NewCluster(gpusim.MI100(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Restore(cp.Cluster()); err != nil {
+			b.Fatal(err)
+		}
+		host := cp.Cluster().Host
+		dst := new(gpusim.Checkpoint)
+		next := 0
+		stage := func() {
+			for k := 0; k < 256; k++ {
+				d := host[next%len(host)].Desc
+				next += 61
+				c.Discard(d.ID)
+				c.RegisterHostTensor(d)
+			}
+			c.CheckpointInto(dst)
+		}
+		stage()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stage()
+		}
+		benchSnapshot = dst
 	})
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()

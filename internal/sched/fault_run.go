@@ -252,8 +252,18 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 		span.SetAttr("stage", strconv.Itoa(si))
 		span.SetAttr("pair", strconv.Itoa(pi))
 	}
-	// Needed set: every operand of the not-yet-executed remainder.
-	needed := make(map[uint64]bool)
+	// Needed set: every operand of the not-yet-executed remainder. The
+	// engine keeps one set across recoveries, sized on first use for the
+	// remainder's operands, so later recoveries do not regrow it.
+	if e.needed == nil {
+		remaining := len(e.w.Stages[si].Pairs) - pi
+		for s2 := si + 1; s2 < len(e.w.Stages); s2++ {
+			remaining += len(e.w.Stages[s2].Pairs)
+		}
+		e.needed = make(map[uint64]bool, 2*remaining)
+	}
+	needed := e.needed
+	clear(needed)
 	for s2 := si; s2 < len(e.w.Stages); s2++ {
 		pairs := e.w.Stages[s2].Pairs
 		start := 0
@@ -309,23 +319,34 @@ func (e *engine) recoverFrom(si, pi, lost int) error {
 // always the final boundary. A durable-write failure is a run failure —
 // the caller asked for durability and did not get it.
 func (e *engine) snapshot(nextStage int) error {
-	cp := &Checkpoint{
+	// Each boundary overwrites the previous snapshot in place, reusing its
+	// storage. Nothing reads lastCP until the run ends or fails, and
+	// CheckpointInto cannot fail part-way, so the previous boundary is
+	// never needed once this one is taken. A ResumeFrom checkpoint is
+	// never lastCP: the engine allocates its own on the first boundary.
+	cp := e.lastCP
+	if cp == nil {
+		cp = &Checkpoint{cluster: new(gpusim.Checkpoint)}
+	}
+	cluster, assignments, faultsFired := cp.cluster, cp.assignments[:0], cp.faultsFired[:0]
+	e.c.CheckpointInto(cluster)
+	*cp = Checkpoint{
 		workload:    e.w.Name,
 		scheduler:   e.s.Name(),
 		numDevices:  e.n,
 		nextStage:   nextStage,
 		overhead:    e.overhead,
 		recovery:    e.res.Recovery,
-		cluster:     e.c.Checkpoint(),
+		cluster:     cluster,
 		numeric:     e.opts.Numeric,
 		numericSeed: e.opts.NumericSeed,
 		fastKernels: e.opts.FastKernels,
 	}
 	if e.assignAll != nil {
-		cp.assignments = append([]int(nil), e.assignAll...)
+		cp.assignments = append(assignments, e.assignAll...)
 	}
 	if e.fr != nil {
-		cp.faultsFired = append([]bool(nil), e.fr.fired...)
+		cp.faultsFired = append(faultsFired, e.fr.fired...)
 	}
 	e.lastCP = cp
 	if e.opts.CheckpointDir == "" {

@@ -385,7 +385,11 @@ type engine struct {
 	// update in place (nil unless RecordAssignments).
 	assignAll    []int
 	stageOffsets []int
-	lastCP       *Checkpoint
+	// lastCP is the latest stage-boundary snapshot; the next boundary
+	// overwrites it in place.
+	lastCP *Checkpoint
+	// needed is recoverFrom's operand set, kept across recoveries.
+	needed map[uint64]bool
 	// prog mirrors opts.Progress (nil when unset); ckptWrites/ckptBytes
 	// are the durable-checkpoint counters, resolved once per run (nil-safe
 	// no-ops without observability).
